@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Continuous-integration gate: tier-1 tests, zoo-wide graph lint + static
-# analysis, determinism code lint, planner determinism, ruff, mypy.
+# Continuous-integration gate: tier-1 tests, the benchmark's helper
+# tests, zoo-wide graph lint + static analysis, determinism code lint,
+# planner determinism, ruff, mypy.
 #
 #   scripts/ci.sh          # run everything
 #   SKIP_TESTS=1 scripts/ci.sh   # lint gates only
@@ -19,6 +20,12 @@ if [[ "${SKIP_TESTS:-0}" != "1" ]]; then
     # the tier-1 gate itself is always the full suite.
     # shellcheck disable=SC2086
     python -m pytest -x -q ${PYTEST_ARGS:-}
+
+    echo "==> perfbench helper tests"
+    # Unit tests of the benchmark's own helpers (percentile rule, self
+    # time, closed-loop accounting, stage medians); they sit outside
+    # tier-1's testpaths and run no workload.
+    python -m pytest -x -q perfbench/tests
 fi
 
 echo "==> repro lint --all --static (graph IR + symbolic-inference analysis)"

@@ -106,7 +106,6 @@ class GHN2(Module):
                         if config.use_op_norm else None)
         self.decoder = ParameterDecoder(config.hidden_dim,
                                         config.chunk_size, rng)
-        self._verified: set[str] = set()
 
     # ------------------------------------------------------------------
     def structure(self, graph: ComputationalGraph) -> GraphStructure:
@@ -138,12 +137,10 @@ class GHN2(Module):
             return states.sum(axis=0)
         return states.mean(axis=0)
 
-    def _verify(self, graph: ComputationalGraph, context: str) -> None:
-        if graph.name in self._verified:
-            return
+    def _verify(self, graph: ComputationalGraph) -> None:
         with TRACER.span("graph-verify", graph=graph.name):
-            assert_verified(graph, level="fast", context=context)
-        self._verified.add(graph.name)
+            assert_verified(graph, level="fast",
+                            context=f"GHN embed of {graph.name!r}")
 
     def embed(self, graph: ComputationalGraph, *,
               verify: bool = True) -> np.ndarray:
@@ -156,14 +153,16 @@ class GHN2(Module):
         :class:`~repro.graphs.verify.GraphVerificationError` describing
         the violated invariants, instead of surfacing later as cryptic
         numpy shape/NaN errors inside the GatedGNN.  Verification runs
-        the fast structural rule set once per graph name (memoized like
-        the structure cache); pass ``verify=False`` to skip.
+        the fast structural rule set once per graph content (the pass is
+        memoized by fingerprint in
+        :func:`~repro.graphs.verify.assert_verified`, like the structure
+        cache); pass ``verify=False`` to skip.
         """
         with TRACER.span("ghn.embed", graph=graph.name,
                          nodes=graph.num_nodes,
                          hidden_dim=self.config.hidden_dim):
             if verify:
-                self._verify(graph, f"GHN embed of {graph.name!r}")
+                self._verify(graph)
             METRICS.counter("ghn.embeds").inc()
             with no_grad():
                 states = self.node_states(graph).data
@@ -192,8 +191,7 @@ class GHN2(Module):
                          hidden_dim=self.config.hidden_dim):
             if verify:
                 for graph in graphs:
-                    self._verify(graph,
-                                 f"GHN embed of {graph.name!r}")
+                    self._verify(graph)
             METRICS.counter("ghn.embeds").inc(len(graphs))
             METRICS.counter("ghn.embed_batches").inc()
             with no_grad():

@@ -3,8 +3,8 @@
 "The GHN-based Workload Embeddings Generator selects the closest GHN model
 out of a set of pre-trained GHN models associated with different
 datasets."  The registry stores one GHN per dataset, persists it to disk
-(npz weights + JSON config) and memoizes embeddings per (dataset, graph)
-so repeated predictions of the same architecture are free.
+(npz weights + JSON config) and memoizes embeddings per (dataset, graph
+fingerprint) so repeated predictions of the same architecture are free.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ __all__ = ["GHNRegistry", "DEFAULT_EMBED_CACHE_SIZE"]
 #: paper amortizes (Fig. 8), and the synthetic space converges quickly.
 DEFAULT_TRAIN_STEPS = 60
 
-#: Default bound on memoized (dataset, graph) embeddings.  Large enough
+#: Default bound on memoized (dataset, fingerprint) embeddings.  Large enough
 #: for every zoo model on every catalog dataset; small enough that a
 #: long-running server over user-supplied custom graphs stays bounded.
 DEFAULT_EMBED_CACHE_SIZE = 512
@@ -114,9 +114,14 @@ class GHNRegistry:
     # ------------------------------------------------------------------
     def embed(self, dataset_name: str,
               graph: ComputationalGraph) -> np.ndarray:
-        """Embedding of ``graph`` under the dataset's GHN (memoized)."""
+        """Embedding of ``graph`` under the dataset's GHN (memoized).
+
+        The cache key is ``(dataset, graph_fingerprint(graph))``: renamed
+        copies of one architecture share an entry, and distinct
+        architectures never do, whatever their names.
+        """
         spec = get_dataset(dataset_name)
-        key = (spec.name, graph.name)
+        key = (spec.name, graph_fingerprint(graph))
         return self._embedding_cache.get_or_compute(
             key, lambda: self.get(spec.name).embed(graph))
 
@@ -128,7 +133,7 @@ class GHNRegistry:
         Cache misses are deduplicated by content fingerprint and run
         through a single batched GatedGNN pass
         (:meth:`GHN2.embed_many`); each result lands in the same
-        ``(dataset, graph name)`` cache slot :meth:`embed` uses, and is
+        ``(dataset, fingerprint)`` cache slot :meth:`embed` uses, and is
         numerically identical to what :meth:`embed` would have
         computed.
         """
@@ -137,25 +142,22 @@ class GHNRegistry:
         missing: dict[str, list[int]] = {}
         representatives: list[ComputationalGraph] = []
         for position, graph in enumerate(graphs):
-            hit = self._embedding_cache.get((spec.name, graph.name))
+            fingerprint = graph_fingerprint(graph)
+            hit = self._embedding_cache.get((spec.name, fingerprint))
             results.append(hit)
             if hit is None:
-                fingerprint = graph_fingerprint(graph)
                 if fingerprint not in missing:
                     missing[fingerprint] = []
                     representatives.append(graph)
                 missing[fingerprint].append(position)
         if representatives:
-            model = self.get(spec.name)
-            embedded = model.embed_many(representatives)
-            graphs = list(graphs)
-            for representative, embedding in zip(representatives,
-                                                 embedded):
-                fingerprint = graph_fingerprint(representative)
-                for position in missing[fingerprint]:
+            embedded = self.get(spec.name).embed_many(representatives)
+            for (fingerprint, positions), embedding in zip(
+                    missing.items(), embedded):
+                self._embedding_cache.put((spec.name, fingerprint),
+                                          embedding)
+                for position in positions:
                     results[position] = embedding
-                    self._embedding_cache.put(
-                        (spec.name, graphs[position].name), embedding)
         return results
 
     @property

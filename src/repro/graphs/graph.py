@@ -68,7 +68,19 @@ class ComputationalGraph:
     The class enforces the invariants PredictDDL relies on: a single INPUT
     source, a single OUTPUT sink, acyclicity, and dense contiguous node ids.
     Edges point in the direction of data flow (forward pass).
+
+    Nothing mutates a graph after construction except ``name``, a display
+    label.  Per-graph memos rely on this contract:
+    :func:`~repro.graphs.fingerprint.graph_fingerprint` computes the
+    content hash once, stores it on the instance and ignores ``name``,
+    and the verifier, GHN and serving caches key on that hash.  To
+    change a graph's nodes or edges, build a new graph.
     """
+
+    #: Content fingerprint, filled in by ``graph_fingerprint`` on first
+    #: use (class-level default, so graphs unpickled from before the
+    #: field existed still compute it lazily).
+    _fingerprint: str | None = None
 
     def __init__(self, name: str, nodes: list[Node],
                  edges: Iterable[tuple[int, int]]):

@@ -20,12 +20,13 @@ Design:
   :func:`rule` decorator.
 * :func:`verify_graph` runs a rule set and returns a
   :class:`VerificationReport`; :func:`assert_verified` raises
-  :class:`GraphVerificationError` when ERROR-severity diagnostics exist.
+  :class:`GraphVerificationError` when ERROR-severity diagnostics exist,
+  and memoizes passing reports per ``(graph fingerprint, level)``.
 
-The ``fast`` rule subset covers structural invariants (cheap, run on every
-GHN ``embed()``); the full set adds shape/FLOP recomputation and
-virtual-edge cross-checks (run by ``repro lint`` and on serialization
-load).
+The ``fast`` rule subset covers structural invariants (cheap, the guard
+at every GHN ``embed()`` and ``PredictDDL.predict()``); the full set adds
+shape/FLOP recomputation and virtual-edge cross-checks (run by
+``repro lint`` and on serialization load).
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ from collections.abc import Callable, Iterable, Iterator
 
 import numpy as np
 
+from ..caching import LRUCache
+from .fingerprint import graph_fingerprint
 from .graph import ComputationalGraph, GraphValidationError
 from .ops import OP_VOCABULARY, OpType, is_merge, is_weighted_op
 from .virtual_edges import virtual_edge_weights
@@ -278,18 +281,26 @@ class Rule:
 
 _RULE_REGISTRY: dict[str, Rule] = {}
 
+#: Passing :func:`assert_verified` reports of ``ComputationalGraph``
+#: targets, keyed by ``(graph fingerprint, level)``; bounded so a server
+#: fed custom graphs stays small.  Any change to the rule registry
+#: clears it, so a memoized pass never predates a rule.
+_PASSED: LRUCache = LRUCache(1024, metrics_prefix="graphs.verify_memo")
+
 
 def register_rule(rule_obj: Rule, *, replace: bool = False) -> Rule:
     """Add a rule to the registry (``replace=True`` to override)."""
     if not replace and rule_obj.rule_id in _RULE_REGISTRY:
         raise ValueError(f"rule {rule_obj.rule_id!r} is already registered")
     _RULE_REGISTRY[rule_obj.rule_id] = rule_obj
+    _PASSED.clear()
     return rule_obj
 
 
 def unregister_rule(rule_id: str) -> None:
     """Remove a rule (mainly for tests and plugins)."""
     _RULE_REGISTRY.pop(rule_id, None)
+    _PASSED.clear()
 
 
 def registered_rules() -> tuple[Rule, ...]:
@@ -798,8 +809,25 @@ def assert_verified(target: ComputationalGraph | GraphView | dict, *,
     The fail-fast guard used at the GHN ``embed()`` and
     ``core.predictor`` entry points; returns the report when the graph
     is usable (warnings allowed).
+
+    Passing reports of :class:`ComputationalGraph` targets are memoized
+    by ``(graph_fingerprint(target), level)``, so re-checking a graph
+    that already passed costs one cache lookup.  The memo never hides a
+    check: failures are never stored, dict and :class:`GraphView`
+    targets and explicit ``rules`` lists are always verified in full,
+    and :func:`register_rule` / :func:`unregister_rule` clear it.
     """
+    key: tuple[str, str] | None = None
+    if rules is None and isinstance(target, ComputationalGraph):
+        key = (graph_fingerprint(target), level)
+        memo: VerificationReport | None = _PASSED.get(key)
+        if memo is not None:
+            if memo.graph_name != target.name:
+                memo = dataclasses.replace(memo, graph_name=target.name)
+            return memo
     report = verify_graph(target, rules=rules, level=level)
     if not report.ok:
         raise GraphVerificationError(report, context=context)
+    if key is not None:
+        _PASSED.put(key, report)
     return report

@@ -79,7 +79,7 @@ LATENCY_BUCKETS: tuple[float, ...] = (
     1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 0.1, 0.25, 0.5, 1.0, 5.0)
 
 #: Floor for the pump/supervisor thread joins in :meth:`stop`: both
-#: threads exit within milliseconds of ``_stopping`` being set, so they
+#: threads exit within one 50 ms poll of ``_stopping`` being set, so they
 #: always deserve a small nonzero join budget even when slow workers
 #: consumed the caller's entire stop timeout (a zero-timeout join would
 #: return with the thread still alive and the endpoint about to close
@@ -277,6 +277,9 @@ class PredictionServer:
         self._batcher = MicroBatcher(self.config.batch_window,
                                      self.config.max_batch)
         self._queue: queue.Queue[_WorkItem] = queue.Queue()
+        # Held by the one worker taking a batch's first item and
+        # collecting the rest; the others execute or wait their turn.
+        self._collect_lock = threading.Lock()
         self._fabric = fabric
         self._injector = fault_injector
         self.endpoint = None
@@ -549,19 +552,27 @@ class PredictionServer:
 
     def _worker_run(self, slot: int) -> None:
         while True:
-            try:
-                first = self._queue.get(timeout=0.05)
-            except queue.Empty:
-                if self._stopping:
-                    return
-                continue
-            if self._stopping and not self._draining:
-                self._complete(
-                    first, outcome="closed",
-                    error=ServerClosedError(
-                        "server stopped before execution"))
-                continue
-            batch = self._batcher.collect(self._queue, first)
+            # One collector at a time: an idle worker racing the
+            # collecting one for arrivals would split a burst across
+            # two concurrent windows, and each request that opens a
+            # window waits all of it out.
+            with self._collect_lock:
+                try:
+                    # Once stopping, take only what is queued, so the
+                    # workers do not each wait out a poll in turn.
+                    first = self._queue.get(
+                        timeout=0.0 if self._stopping else 0.05)
+                except queue.Empty:
+                    if self._stopping:
+                        return
+                    continue
+                if self._stopping and not self._draining:
+                    self._complete(
+                        first, outcome="closed",
+                        error=ServerClosedError(
+                            "server stopped before execution"))
+                    continue
+                batch = self._batcher.collect(self._queue, first)
             with self._state_lock:
                 self._inflight[slot] = batch
             if self._injector is not None:
@@ -793,12 +804,10 @@ class PredictionServer:
     # -- fabric front door ----------------------------------------------
     def _pump_loop(self) -> None:
         """Move fabric ``predict`` messages onto the ingress queue."""
-        while True:
-            if self._stopping:
-                return
-            msg = self.endpoint.try_recv()
-            if msg is None:
-                time.sleep(0.002)
+        while not self._stopping:
+            try:
+                msg = self.endpoint.recv(timeout=0.05)
+            except queue.Empty:
                 continue
             if msg.tag != "predict":
                 continue

@@ -111,9 +111,12 @@ def activation_bytes_by_node(target, shapes: dict[int, Shape | None]
     ``shapes`` overrides stored shapes with inferred ones; nodes whose
     shape is unknown count as zero bytes.
     """
-    view = _as_view(target)
+    # Only ``.nodes`` is read, which graphs and views expose directly;
+    # a view (adjacency dicts and all) is built only for raw payloads.
+    if isinstance(target, dict):
+        target = GraphView.from_payload(target)
     sizes: dict[int, int] = {}
-    for nd in view.nodes:
+    for nd in target.nodes:
         shape = nd.out_shape
         if shapes is not None:
             shape = shapes.get(nd.node_id) or ()
@@ -204,8 +207,9 @@ def training_memory_bytes(target, batch_size: int, *,
     keeps one; Adam keeps two) plus every activation of the forward pass
     retained for backward, scaled by the per-device batch size.
     """
-    view = _as_view(target)
-    params = sum(nd.params for nd in view.nodes)
+    if isinstance(target, dict):
+        target = GraphView.from_payload(target)
+    params = sum(nd.params for nd in target.nodes)
     weight_bytes = BYTES_PER_SCALAR * params * (2 + optimizer_states)
-    activations = sum(activation_bytes_by_node(view, shapes).values())
+    activations = sum(activation_bytes_by_node(target, shapes).values())
     return weight_bytes + activations * max(1, int(batch_size))

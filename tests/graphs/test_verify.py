@@ -6,6 +6,7 @@ import dataclasses
 
 import pytest
 
+from repro.caching import LRUCache
 from repro.graphs import (ComputationalGraph, GraphBuilder, OpType,
                           graph_from_dict, graph_to_dict, load_graph,
                           save_graph)
@@ -468,13 +469,12 @@ class TestReport:
 # ----------------------------------------------------------------------
 # integration points
 # ----------------------------------------------------------------------
-def corrupt_graph() -> ComputationalGraph:
+def corrupt_graph(name: str = "tiny-corrupt") -> ComputationalGraph:
     """Passes the constructor's invariants but fails fast verification."""
     graph = small_graph()
     nodes = [dataclasses.replace(nd, params=-7)
              if nd.op is OpType.LINEAR else nd for nd in graph.nodes]
-    # Distinct name: GHN2 memoizes verification per graph name.
-    return ComputationalGraph("tiny-corrupt", nodes, graph.edges)
+    return ComputationalGraph(name, nodes, graph.edges)
 
 
 class TestIntegration:
@@ -516,3 +516,103 @@ class TestIntegration:
             ghn.embed(corrupt_graph())
         # explicit opt-out bypasses the guard
         assert ghn.embed(corrupt_graph(), verify=False).shape == (8,)
+
+    def test_ghn_embed_rejects_malformed_graph_reusing_a_name(self):
+        """A verified name is no pass for different content."""
+        from repro.ghn import GHN2, GHNConfig
+
+        ghn = GHN2(GHNConfig(hidden_dim=8, s_max=3, chunk_size=16))
+        ghn.embed(small_graph())
+        impostor = corrupt_graph(name="tiny")
+        with pytest.raises(GraphVerificationError, match="GHN embed"):
+            ghn.embed(impostor)
+        with pytest.raises(GraphVerificationError, match="GHN embed"):
+            ghn.embed_many([small_graph(), impostor])
+
+
+# ----------------------------------------------------------------------
+# memo of passing reports
+# ----------------------------------------------------------------------
+class TestVerifyMemo:
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """Count full verifier runs behind ``assert_verified``, starting
+        from an empty memo."""
+        calls = []
+        real = gv.verify_graph
+
+        def counting(target, **kwargs):
+            calls.append(target)
+            return real(target, **kwargs)
+
+        monkeypatch.setattr(gv, "verify_graph", counting)
+        monkeypatch.setattr(gv, "_PASSED", LRUCache(8))
+        return calls
+
+    def test_pass_is_memoized_by_fingerprint(self, runs):
+        graph = small_graph()
+        first = assert_verified(graph)
+        assert assert_verified(graph) is first
+        twin = small_graph()
+        twin.name = "tiny-renamed"
+        report = assert_verified(twin)
+        assert len(runs) == 1
+        assert report.graph_name == "tiny-renamed"
+        assert report.diagnostics == first.diagnostics
+
+    def test_levels_are_memoized_separately(self, runs):
+        graph = small_graph()
+        fast = assert_verified(graph, level="fast")
+        full = assert_verified(graph, level="full")
+        assert len(runs) == 2
+        assert fast.rules_run != full.rules_run
+        assert assert_verified(graph, level="full") is full
+        assert len(runs) == 2
+
+    def test_failures_are_never_cached(self, runs):
+        graph = corrupt_graph()
+        for _ in range(2):
+            with pytest.raises(GraphVerificationError):
+                assert_verified(graph)
+        assert len(runs) == 2
+
+    def test_payloads_views_and_explicit_rules_always_run(self, runs):
+        graph = small_graph()
+        assert_verified(graph)
+        for _ in range(2):
+            assert_verified(graph_to_dict(graph))
+            assert_verified(gv.GraphView.from_graph(graph))
+            assert_verified(graph, rules=["acyclic"])
+        assert len(runs) == 1 + 2 * 3
+
+    def test_register_rule_invalidates_memo(self):
+        """A new fast rule applies to graphs that already passed."""
+        from repro.ghn import GHN2, GHNConfig
+
+        graph = small_graph()
+        ghn = GHN2(GHNConfig(hidden_dim=8, s_max=3, chunk_size=16))
+        ghn.embed(graph)
+        assert_verified(graph)
+
+        @gv.rule("test-no-add", "flag residual adds")
+        def check_no_add(view):
+            for nd in view.nodes:
+                if nd.op is OpType.SUM:
+                    yield gv.error("residual add", node=nd)
+        try:
+            with pytest.raises(GraphVerificationError,
+                               match="test-no-add"):
+                assert_verified(graph)
+            with pytest.raises(GraphVerificationError,
+                               match="test-no-add"):
+                ghn.embed(graph)
+        finally:
+            gv.unregister_rule("test-no-add")
+        assert assert_verified(graph).ok
+
+    def test_unregister_rule_clears_memo(self, runs):
+        graph = small_graph()
+        assert_verified(graph)
+        gv.unregister_rule("no-such-rule")
+        assert_verified(graph)
+        assert len(runs) == 2

@@ -9,6 +9,9 @@ from repro.caching import LRUCache
 from repro.cluster import Cluster, make_cluster
 from repro.core import PredictionRequest
 from repro.core.requests import PredictionResult
+from repro.graphs import graph_to_dict
+from repro.graphs.fingerprint import payload_digest
+from repro.graphs.zoo import get_model, list_models
 from repro.serve import (ResultCache, cluster_signature,
                          graph_fingerprint, request_cache_key)
 from repro.sim import DLWorkload
@@ -116,6 +119,16 @@ class TestKeys:
         clone = pickle.loads(pickle.dumps(graph))
         clone.name = "renamed-resnet"
         assert graph_fingerprint(graph) == graph_fingerprint(clone)
+        # The fingerprint stored on each graph is its name-less content
+        # digest, and renaming after it was stored does not change it.
+        for model in list_models():
+            zoo_graph = get_model(model)
+            stored = graph_fingerprint(zoo_graph)
+            zoo_graph.name = f"renamed-{model}"
+            payload = graph_to_dict(zoo_graph)
+            del payload["name"]
+            assert graph_fingerprint(zoo_graph) == stored
+            assert stored == payload_digest(payload)
 
     def test_clusterless_request_not_keyable(self):
         request = PredictionRequest(

@@ -113,16 +113,37 @@ class _GatedBackend:
         self.gate = threading.Event()
         self.started = threading.Event()
         self.calls = 0
+        self.threads: list[str] = []
 
     def predict(self, request):
         self.started.set()
         self.gate.wait(timeout=30.0)
         self.calls += 1
+        self.threads.append(threading.current_thread().name)
         from repro.core.requests import PredictionResult
         return PredictionResult(request=request, predicted_time=1.0,
                                 dataset_used="cifar10",
                                 ghn_trained=False, embedding_seconds=0.0,
                                 inference_seconds=0.0)
+
+
+class TestBatchCollection:
+    def test_idle_workers_do_not_split_a_burst(self):
+        """Requests arriving inside one window join one batch, however
+        many workers sit idle, instead of each opening its own window."""
+        backend = _GatedBackend()
+        backend.gate.set()
+        config = ServeConfig(workers=2, batch_window=0.25, max_batch=16,
+                             max_queue_depth=16)
+        with PredictionServer(backend, config) as server:
+            futures = []
+            for size in range(1, 7):
+                futures.append(server.submit(_request(size=size)))
+                time.sleep(0.005)
+            for future in futures:
+                assert future.result(timeout=30.0).predicted_time == 1.0
+        assert len(backend.threads) == 6
+        assert len(set(backend.threads)) == 1
 
 
 class TestAdmissionUnderSaturation:

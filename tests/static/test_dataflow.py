@@ -4,6 +4,7 @@ against hand-computed values on a small diamond graph."""
 import pytest
 
 from repro.graphs import GraphBuilder, graph_to_dict
+from repro.graphs.verify import GraphView
 from repro.static import (dead_nodes, liveness, peak_activation_memory,
                           schedule, training_memory_bytes)
 from repro.static.dataflow import (BYTES_PER_SCALAR,
@@ -87,6 +88,17 @@ class TestMemory:
         assert big - base == activations * 63
         params = sum(nd.params for nd in graph.nodes)
         assert base == BYTES_PER_SCALAR * params * 4 + activations
+
+    def test_graph_view_and_payload_targets_agree(self):
+        graph = diamond()
+        view = GraphView.from_graph(graph)
+        payload = graph_to_dict(graph)
+        for batch in (1, 32):
+            expected = training_memory_bytes(graph, batch)
+            assert training_memory_bytes(view, batch) == expected
+            assert training_memory_bytes(payload, batch) == expected
+        assert activation_bytes_by_node(payload) == \
+            activation_bytes_by_node(graph)
 
     def test_optimizer_states_knob(self):
         graph = diamond()
