@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Continuous-integration gate: tier-1 tests, the benchmark's helper
-# tests, zoo-wide graph lint + static analysis, determinism code lint,
-# planner determinism, ruff, mypy.
+# tests and smoke runs, zoo-wide graph lint + static analysis,
+# determinism code lint, planner determinism, ruff, mypy.
 #
 #   scripts/ci.sh          # run everything
 #   SKIP_TESTS=1 scripts/ci.sh   # lint gates only
@@ -26,6 +26,11 @@ if [[ "${SKIP_TESTS:-0}" != "1" ]]; then
     # time, closed-loop accounting, stage medians); they sit outside
     # tier-1's testpaths and run no workload.
     python -m pytest -x -q perfbench/tests
+
+    echo "==> perfbench smoke (scripts/bench_smoke.sh)"
+    # Short sched-warm and offline-build runs, untraced and traced: each
+    # must exit 0 and end its stdout with a JSON result marked correct.
+    scripts/bench_smoke.sh
 fi
 
 echo "==> repro lint --all --static (graph IR + symbolic-inference analysis)"

@@ -28,6 +28,12 @@ DEFAULT_NFS_THROUGHPUT = 1.0e9
 class Cluster:
     """A set of servers plus shared-network/storage parameters."""
 
+    #: Content signature, filled in by ``repro.serve.cache
+    #: .cluster_signature`` on first use.  A plain class attribute, not
+    #: a field: equality and ``dataclasses.replace`` ignore it, and
+    #: clusters unpickled from before it existed compute it lazily.
+    _signature = None
+
     servers: tuple[ServerSpec, ...]
     net_latency: float = DEFAULT_NET_LATENCY
     nfs_throughput: float = DEFAULT_NFS_THROUGHPUT

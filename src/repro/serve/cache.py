@@ -39,14 +39,20 @@ def cluster_signature(cluster: Cluster) -> str:
 
     Covers every server spec field plus the shared network/storage
     parameters, so clusters that differ only in e.g. NIC bandwidth or
-    server count produce distinct signatures.
+    server count produce distinct signatures.  Computed on first use
+    and stored on the (frozen) ``cluster``; later calls are an
+    attribute read.
     """
-    payload = {
-        "servers": [dataclasses.asdict(spec) for spec in cluster.servers],
-        "net_latency": cluster.net_latency,
-        "nfs_throughput": cluster.nfs_throughput,
-    }
-    return _digest(payload)
+    signature = cluster._signature
+    if signature is None:
+        signature = _digest({
+            "servers": [dataclasses.asdict(spec)
+                        for spec in cluster.servers],
+            "net_latency": cluster.net_latency,
+            "nfs_throughput": cluster.nfs_throughput,
+        })
+        object.__setattr__(cluster, "_signature", signature)
+    return signature
 
 
 def request_cache_key(request: PredictionRequest) -> tuple[str, str]:

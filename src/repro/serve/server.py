@@ -646,26 +646,29 @@ class PredictionServer:
         # freshly promoted version begins with a clean keyspace.
         version = self.cache.version
         # Join the leader's trace across the queue handoff: the batch
-        # and execute spans below become children of its ingress span.
+        # span below becomes a child of its ingress span, so a cache
+        # hit's trace shows its time in the queue too; ``serve.execute``
+        # marks a miss.
         token = TRACER.attach(leader.trace)
         try:
-            result = (self.cache.lookup(leader.request, key,
-                                        version=version)
-                      if key is not None else None)
-            if result is None:
-                try:
-                    with TRACER.span("serve.batch", size=len(live),
-                                     slot=slot):
+            try:
+                with TRACER.span("serve.batch", size=len(live),
+                                 slot=slot):
+                    result = (self.cache.lookup(leader.request, key,
+                                                version=version)
+                              if key is not None else None)
+                    if result is None:
                         with TRACER.span("serve.execute",
                                          batched=len(live)):
                             result = self.predictor.predict(
                                 leader.request)
-                except Exception as exc:  # noqa: BLE001 - per item
-                    for item in live:
-                        self._complete(item, error=exc, outcome="error")
-                    return
-                if key is not None:
-                    self.cache.store(result, key, version=version)
+                        if key is not None:
+                            self.cache.store(result, key,
+                                             version=version)
+            except Exception as exc:  # noqa: BLE001 - per item
+                for item in live:
+                    self._complete(item, error=exc, outcome="error")
+                return
             self._mirror(leader.request, result)
             for item in live:
                 self._complete(

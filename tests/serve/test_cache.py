@@ -1,12 +1,13 @@
 """LRU cache, fingerprints and the serving result cache."""
 
+import dataclasses
 import pickle
 
 import pytest
 
 from repro import obs
 from repro.caching import LRUCache
-from repro.cluster import Cluster, make_cluster
+from repro.cluster import SERVER_CATALOG, Cluster, make_cluster
 from repro.core import PredictionRequest
 from repro.core.requests import PredictionResult
 from repro.graphs import graph_to_dict
@@ -107,6 +108,31 @@ class TestKeys:
         mixed_a = Cluster(servers=(gpu, cpu))
         mixed_b = Cluster(servers=(cpu, gpu))
         assert cluster_signature(mixed_a) != cluster_signature(mixed_b)
+
+    def test_cluster_signature_stored_once_per_cluster(self):
+        for server_class in SERVER_CATALOG:
+            for size in (1, 8, 16):
+                cluster = make_cluster(size, server_class)
+                assert cluster._signature is None
+                stored = cluster_signature(cluster)
+                assert cluster._signature == stored
+                assert stored == payload_digest({
+                    "servers": [dataclasses.asdict(spec)
+                                for spec in cluster.servers],
+                    "net_latency": cluster.net_latency,
+                    "nfs_throughput": cluster.nfs_throughput})
+        # Separately built equal clusters share one signature; a
+        # replaced copy is a new instance and signs its own content.
+        cluster = make_cluster(4, "gpu-p100")
+        assert cluster_signature(cluster) == cluster_signature(
+            make_cluster(4, "gpu-p100"))
+        farther = dataclasses.replace(cluster, net_latency=1e-3)
+        assert farther._signature is None
+        assert cluster_signature(farther) != cluster_signature(cluster)
+        assert farther != cluster
+        restored = pickle.loads(pickle.dumps(cluster))
+        assert restored._signature == cluster._signature
+        assert restored == cluster
 
     def test_workload_fields_fold_into_fingerprint(self):
         assert request_cache_key(_request(batch=32)) != \

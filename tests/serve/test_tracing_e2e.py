@@ -84,6 +84,31 @@ class TestFabricTraceStitching:
         assert execute.parent_id == batch.span_id
         assert by_name["predictddl.predict"].parent_id == execute.span_id
 
+    def test_cache_hit_trace_reaches_the_worker(self, predictor):
+        # A hit is answered by a worker after waiting in the queue, so
+        # its tree reaches serve.batch; serve.execute marks misses only.
+        with obs.observed() as (tracer, _):
+            fabric = Fabric()
+            with PredictionServer(predictor, ServeConfig(workers=1),
+                                  fabric=fabric) as server:
+                client = ServeClient(fabric, "trace-client",
+                                     reliable=True)
+                client.predict(_request(), timeout=30.0)
+                client.predict(_request(), timeout=30.0)  # cache hit
+                client.close()
+                assert server.cache.stats()["hits"] == 1
+            records = tracer.records()
+
+        assert validate(records) == []
+        trees = stitch(records)
+        assert len(trees) == 2
+        (hit,) = [t for t in trees
+                  if "serve.execute" not in t.span_names()]
+        names = hit.span_names()
+        assert names[:3] == ["serve.client.predict", "serve.ingress",
+                             "serve.batch"]
+        assert "predictddl.predict" not in names
+
     def test_flight_recorder_sees_the_request(self, predictor):
         with obs.observed():
             fabric = Fabric()
@@ -140,14 +165,14 @@ class TestLoadgenTraces:
         assert validate(records) == []
         # The per-family breakdown attaches exemplar trace ids to the
         # tail, and those ids resolve to stitched trees that reach the
-        # worker side.
+        # worker side (a cache hit's tree ends at serve.batch).
         families = report.family_reports()
         assert families
         exemplars = {t for f in families for t in f.p99_exemplars}
         assert exemplars
         trees = {t.record.trace_id: t for t in stitch(records)}
         for trace_id in exemplars:
-            assert "serve.execute" in trees[trace_id].span_names()
+            assert "serve.batch" in trees[trace_id].span_names()
 
     def test_tracing_off_yields_untraced_samples(self, predictor):
         spec = TrafficSpec(num_requests=6, rate=2000.0)
