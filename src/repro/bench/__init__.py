@@ -20,9 +20,8 @@ from .harness import (EvalOutcome, ernest_design, evaluate_ernest,
                       evaluate_predictor, fit_ernest, fit_predictor,
                       per_workload_ratios, split_points)
 from .perf import (EmbedPerfPoint, RefitPerfResult, ServePerfResult,
-                   StaticPerfPoint, TracegenPerfPoint, check_gates,
-                   continual_refit, embed_throughput, run_perf_suite,
-                   serve_latency, static_planning,
+                   TracegenPerfPoint, check_gates, continual_refit,
+                   embed_throughput, run_perf_suite, serve_latency,
                    tracegen_throughput)
 from .reporting import format_table, render_report, write_report
 
@@ -41,9 +40,8 @@ __all__ = [
     "chaos_recovery", "ChaosRecoveryPoint",
     "embedding_dim_sweep", "ghn_config_ablation", "allreduce_ablation",
     "run_perf_suite", "check_gates", "embed_throughput",
-    "tracegen_throughput", "serve_latency", "static_planning",
-    "continual_refit",
+    "tracegen_throughput", "serve_latency", "continual_refit",
     "EmbedPerfPoint", "TracegenPerfPoint", "ServePerfResult",
-    "StaticPerfPoint", "RefitPerfResult",
+    "RefitPerfResult",
     "format_table", "render_report", "write_report",
 ]

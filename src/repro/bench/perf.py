@@ -1,7 +1,7 @@
 """Performance-regression suite for the batched-embedding stack.
 
-Three micro-benchmarks with machine-readable output (``BENCH_perf.json``
-at the repo root is the committed baseline):
+Micro-benchmarks with machine-readable output (``BENCH_perf.json`` at
+the repo root is the committed baseline):
 
 * **embed**: one batched :meth:`repro.ghn.GHN2.embed_many` call over K
   zoo graphs vs K sequential :meth:`~repro.ghn.GHN2.embed` calls.  The
@@ -10,17 +10,15 @@ at the repo root is the committed baseline):
   bitwise-equivalence contract of the block-diagonal batching layer.
 * **tracegen**: :func:`repro.sim.generate_trace` points/second at
   several worker counts, asserting the sharded sweeps return records
-  bit-identical to the serial sweep.  The persistent worker pool is
-  warmed (untimed) first, so the numbers reflect the steady state of a
-  long-running sweep service; on non-quick runs the gate additionally
-  requires every ``workers > 1`` throughput to be at least the serial
-  throughput -- the "parallel must actually pay" contract.
+  bit-identical to the serial sweep.  One untimed sweep starts the
+  shared process pool first, so the numbers reflect the steady state
+  of a long-running sweep service; on non-quick runs the gate
+  additionally requires every ``workers > 1`` throughput to be at
+  least the serial throughput -- the "parallel must actually pay"
+  contract.
 * **serve**: p50/p99 latency and throughput of a
   :class:`~repro.serve.PredictionServer` burst driven by the existing
   :class:`~repro.serve.LoadGenerator`.
-* **static**: :func:`repro.static.plan_graph` latency per zoo model
-  plus a plan-digest determinism check (two independently-built plans
-  must hash identically).
 * **obs**: serving p50 with observability fully on (tracing + metrics
   + flight recorder) vs fully off, gating the ``repro.obs`` overhead
   contract -- instrumentation must stay within a few percent of the
@@ -52,13 +50,13 @@ import numpy as np
 from ..ghn import GHN2, GHNConfig
 from ..graphs.zoo import get_model, list_models
 from ..obs import TRACER
-from ..parallel import get_pool, pool_stats
+from ..parallel import pool_stats
 from ..sim import generate_trace
 
 __all__ = ["EmbedPerfPoint", "TracegenPerfPoint", "ServePerfResult",
-           "StaticPerfPoint", "ObsOverheadResult", "RefitPerfResult",
+           "ObsOverheadResult", "RefitPerfResult",
            "embed_throughput", "tracegen_throughput", "serve_latency",
-           "static_planning", "obs_overhead", "continual_refit",
+           "obs_overhead", "continual_refit",
            "run_perf_suite", "check_gates"]
 
 #: Batch sizes exercised by the full suite (the ISSUE's K in {1, 8, 32}).
@@ -118,20 +116,6 @@ class TracegenPerfPoint:
             "points_per_sec": self.points_per_sec,
             "identical_to_serial": self.identical_to_serial,
         }
-
-
-@dataclasses.dataclass(frozen=True)
-class StaticPerfPoint:
-    """Static-planner timing and determinism for one zoo model."""
-
-    model: str
-    steps: int
-    seconds: float
-    digest: str
-    deterministic: bool
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -246,16 +230,16 @@ def tracegen_throughput(
     baseline; ``identical_to_serial`` must hold at any worker count
     (the :mod:`repro.parallel` determinism contract).
 
-    The persistent pool is warmed with one untimed sweep before any
-    measurement -- spawn cost is a one-time tax a long-running sweep
-    service never pays again, and the regression gate targets the
-    steady state.  Each worker count reports the **median** wall time
-    of ``repeats`` runs so a single scheduler stall cannot flip the
-    ``workers=4 >= workers=1`` throughput gate.
+    One untimed sweep at the largest worker count starts the shared
+    process pool before any measurement -- spawn cost is a one-time
+    tax a long-running sweep service never pays again, and the
+    regression gate targets the steady state.  Each worker count
+    reports the **median** wall time of ``repeats`` runs so a single
+    scheduler stall cannot flip the ``workers=4 >= workers=1``
+    throughput gate.
     """
     max_workers = max(worker_counts)
     if max_workers > 1:
-        get_pool(max_workers).warm()
         generate_trace(list(models), "cifar10", "gpu-p100",
                        list(cluster_sizes)[:2], seed=seed,
                        workers=max_workers)
@@ -509,31 +493,6 @@ def continual_refit(*, requests: int = 48, rate: float = 2000.0,
         else 1.0)
 
 
-def static_planning(models: Sequence[str] = ("alexnet", "resnet18",
-                                             "mobilenet_v2"), *,
-                    batch_size: int = 32) -> list[StaticPerfPoint]:
-    """Time :func:`repro.static.plan_graph` and check plan determinism.
-
-    Each model is planned twice from independently-built graphs; the
-    two content digests must match (the static planner's determinism
-    contract, gated both here and in ``scripts/ci.sh``).
-    """
-    from ..static import plan_graph
-
-    results: list[StaticPerfPoint] = []
-    for name in models:
-        with TRACER.span("bench.perf.static", model=name):
-            start = time.perf_counter()
-            plan = plan_graph(get_model(name), batch_size=batch_size)
-            seconds = time.perf_counter() - start
-        replan = plan_graph(get_model(name), batch_size=batch_size)
-        results.append(StaticPerfPoint(
-            model=name, steps=len(plan.steps), seconds=seconds,
-            digest=plan.digest,
-            deterministic=plan.digest == replan.digest))
-    return results
-
-
 def run_perf_suite(*, quick: bool = False, seed: int = 0) -> dict:
     """Run every perf benchmark and return the JSON payload.
 
@@ -547,14 +506,12 @@ def run_perf_suite(*, quick: bool = False, seed: int = 0) -> dict:
         tracegen = tracegen_throughput(
             (1, 4), cluster_sizes=tuple(range(1, 5)), seed=seed)
         serve = None
-        static = static_planning(("alexnet", "resnet18"))
         obs_cost = obs_overhead(requests=32, seed=seed)
         refit = continual_refit(requests=24, seed=seed)
     else:
         embed = embed_throughput(seed=seed)
         tracegen = tracegen_throughput(seed=seed)
         serve = serve_latency(seed=seed)
-        static = static_planning()
         obs_cost = obs_overhead(seed=seed)
         refit = continual_refit(seed=seed)
     return {
@@ -566,7 +523,6 @@ def run_perf_suite(*, quick: bool = False, seed: int = 0) -> dict:
         "tracegen": [p.to_dict() for p in tracegen],
         "parallel_pool": pool_stats(),
         "serve": serve.to_dict() if serve is not None else None,
-        "static": [p.to_dict() for p in static],
         "obs": obs_cost.to_dict(),
         "refit": refit.to_dict(),
     }
@@ -576,8 +532,8 @@ def _usable_cpus() -> int:
     """Schedulable CPUs as reported by the platform (informational).
 
     Container runtimes routinely under-report here while still letting
-    child processes run in parallel, so the throughput gate relies on
-    the measured ratio, not on this number.
+    child processes run in parallel, so the throughput gate ignores
+    this number and holds every non-quick payload to the same floor.
     """
     try:
         return len(os.sched_getaffinity(0))
@@ -589,8 +545,7 @@ def check_gates(payload: dict, *, min_speedup: float = 1.0,
                 min_speedup_k: int = 8,
                 max_obs_overhead: float = 1.05,
                 obs_slack_ms: float = 0.25,
-                min_parallel_ratio: float = 1.0,
-                single_cpu_ratio: float = 0.65) -> list[str]:
+                min_parallel_ratio: float = 1.0) -> list[str]:
     """Regression gates over a ``run_perf_suite`` payload.
 
     * batched embedding must be bitwise-identical to sequential;
@@ -600,12 +555,8 @@ def check_gates(payload: dict, *, min_speedup: float = 1.0,
     * sharded trace generation must be bit-identical to serial;
     * on **non-quick** payloads, every ``workers > 1`` tracegen point
       must reach at least ``min_parallel_ratio`` x the serial
-      points/second -- the persistent pool's "parallel must actually
-      pay" contract.  The strict floor only arms when the payload's
-      recorded ``cpus`` show real parallelism was available; on a
-      single-CPU host ``workers=4`` physically cannot beat serial, so
-      the gate degrades to ``single_cpu_ratio`` -- a bound on dispatch
-      overhead, not a speedup demand.  Quick payloads (and legacy
+      points/second -- the "parallel must actually pay" contract.  The
+      recorded ``cpus`` do not relax it.  Quick payloads (and legacy
       payloads predating the ``quick`` key) skip this gate entirely:
       their sweeps are too small to amortize even a warm dispatch, so
       the ratio would gate on noise;
@@ -641,27 +592,18 @@ def check_gates(payload: dict, *, min_speedup: float = 1.0,
                    if p.get("workers") == 1), None)
     if serial and not payload.get("quick", True):
         serial_pps = serial["points_per_sec"]
-        # A legacy payload without "cpus" is held to the strict floor.
-        multi_cpu = payload.get("cpus", 2) > 1
-        floor = min_parallel_ratio if multi_cpu else single_cpu_ratio
-        why = ("the persistent pool must beat serial" if multi_cpu
-               else "single-CPU host: dispatch overhead bound")
         for point in payload["tracegen"]:
             if point["workers"] <= 1 or serial_pps <= 0:
                 continue
             ratio = point["points_per_sec"] / serial_pps
-            if ratio < floor:
+            if ratio < min_parallel_ratio:
                 failures.append(
                     f"tracegen workers={point['workers']}: "
                     f"{point['points_per_sec']:.1f} points/s is only "
                     f"{ratio:.2f}x the serial "
                     f"{serial_pps:.1f} points/s "
-                    f"(gate {floor:.2f}x -- {why})")
-    for point in payload.get("static") or []:
-        if not point["deterministic"]:
-            failures.append(
-                f"static {point['model']}: plan digest changed between "
-                f"two runs (planner is non-deterministic)")
+                    f"(gate {min_parallel_ratio:.2f}x -- the pool must "
+                    f"beat serial)")
     obs_point = payload.get("obs")
     if obs_point:
         if not obs_point["predictions_identical"]:

@@ -73,7 +73,7 @@ class ServerAgent:
 
         The head-node production path of the continual-refit loop: the
         agent generates ``models x cluster_sizes`` trace points --
-        sharded over the persistent worker pool when ``workers > 1``,
+        sharded over the shared process pool when ``workers > 1``,
         bit-identical to the serial sweep at any worker count -- and
         ships them to the collector with :meth:`report_trace`.  Returns
         the number of points reported.

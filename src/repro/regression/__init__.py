@@ -7,7 +7,6 @@ splitting, grid search and model selection.
 """
 
 from .base import Regressor, StandardScaler
-from .incremental import IncrementalRidge
 from .linear import LinearRegression, LogTargetRegressor, NNLSRegression
 from .metrics import (mape, mean_relative_error, prediction_ratio,
                       r_squared, relative_error, rmse)
@@ -20,7 +19,6 @@ from .svr import SVR, linear_kernel, rbf_kernel
 __all__ = [
     "Regressor", "StandardScaler",
     "LinearRegression", "NNLSRegression", "LogTargetRegressor",
-    "IncrementalRidge",
     "PolynomialRegression", "polynomial_expand",
     "SVR", "rbf_kernel", "linear_kernel",
     "MLPRegressor",

@@ -9,6 +9,8 @@ terms; ridge regularization keeps the expanded design well-conditioned
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .base import Regressor, StandardScaler, check_fitted
@@ -16,12 +18,25 @@ from .base import Regressor, StandardScaler, check_fitted
 __all__ = ["polynomial_expand", "PolynomialRegression"]
 
 
+@functools.lru_cache(maxsize=32)
+def _pair_indices(width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Upper-triangular index pairs of ``width`` features, read-only.
+
+    Computing them costs more than a one-row expansion itself, and the
+    width is fixed by the fitted feature layout, so they are cached.
+    """
+    pairs = np.triu_indices(width, k=1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
 def polynomial_expand(x: np.ndarray, degree: int = 2,
                       interactions: bool = True) -> np.ndarray:
     """Expand features with powers up to ``degree`` (and pairwise products).
 
     Vectorized: the interaction block is built from the upper-triangular
-    index pairs in one einsum-free broadcast.
+    index pairs (cached per width) in one einsum-free broadcast.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -32,7 +47,7 @@ def polynomial_expand(x: np.ndarray, degree: int = 2,
     for power in range(2, degree + 1):
         blocks.append(x ** power)
     if interactions and degree >= 2 and x.shape[1] > 1:
-        iu, ju = np.triu_indices(x.shape[1], k=1)
+        iu, ju = _pair_indices(x.shape[1])
         blocks.append(x[:, iu] * x[:, ju])
     return np.hstack(blocks)
 

@@ -79,13 +79,11 @@ def generate_trace(models: Sequence[str], dataset_name: str,
     Each point gets an independent RNG stream derived from ``seed`` so
     the trace is reproducible yet the noise is uncorrelated across
     points.  ``workers > 1`` shards the sweep over the process-global
-    **persistent** worker pool via
-    :func:`repro.parallel.parallel_map`: substreams are spawned before
-    sharding, chunks are stolen off a shared queue by warm long-lived
-    workers, and results reassemble in task order -- so the returned
-    points are bit-identical at any worker count (the serial path is
-    the ``workers=1`` special case of the same code) and consecutive
-    sweeps skip process spawn entirely (``parallel.pool.warm_hits``).
+    executor via :func:`repro.parallel.parallel_map`: substreams are
+    spawned before sharding and results reassemble in task order, so
+    the returned points are bit-identical at any worker count (the
+    serial path is the ``workers=1`` special case of the same code),
+    and consecutive sweeps reuse the executor's processes.
     Simulator-internal obs metrics are only recorded in-process, i.e.
     on the serial path.
     """

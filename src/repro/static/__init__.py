@@ -1,4 +1,4 @@
-"""Static analysis over the graph IR: shape inference, dataflow, planning.
+"""Static analysis over the graph IR: shape inference, dataflow, memory.
 
 The pipeline layers:
 
@@ -7,10 +7,8 @@ The pipeline layers:
 3. :mod:`repro.static.infer`    -- whole-graph forward/backward
    inference with structured diagnostics;
 4. :mod:`repro.static.dataflow` -- schedules, liveness, memory;
-5. :mod:`repro.static.planner`  -- preallocated-buffer execution plans
-   (``repro plan``);
-6. :mod:`repro.static.analyze`  -- everything as a verifier report;
-7. :mod:`repro.static.codelint` -- the AST determinism linter
+5. :mod:`repro.static.analyze`  -- everything as a verifier report;
+6. :mod:`repro.static.codelint` -- the AST determinism linter
    (``repro lint --code``).
 """
 
@@ -21,8 +19,6 @@ from .dataflow import (Liveness, MemoryProfile, activation_bytes_by_node,
                        dead_nodes, liveness, peak_activation_memory,
                        schedule, training_memory_bytes)
 from .infer import InferenceResult, ShapeInferenceEngine, infer_shapes
-from .planner import (BufferSpec, ExecutionPlan, PlanningError, PlanStep,
-                      StaticPlanner, plan_graph)
 from .rules import (SHAPE_RULES, DuplicateRuleError, NodeContext, OpRule,
                     get_op_rule, infer_output_shape, recount_cost,
                     register_op_rule)
@@ -42,9 +38,6 @@ __all__ = [
     "schedule", "liveness", "Liveness", "MemoryProfile",
     "activation_bytes_by_node", "peak_activation_memory", "dead_nodes",
     "training_memory_bytes",
-    # planner
-    "StaticPlanner", "ExecutionPlan", "PlanStep", "BufferSpec",
-    "PlanningError", "plan_graph",
     # analyze / codelint
     "analyze_graph", "STATIC_RULE_IDS",
     "CodeFinding", "CODE_RULES", "lint_tree", "lint_source",

@@ -8,18 +8,12 @@ from repro.bench import check_gates, embed_throughput, run_perf_suite
 from repro.cli import main as cli_main
 
 
-def _payload(embed=None, tracegen=None, static=None):
+def _payload(embed=None, tracegen=None):
     return {
         "embed": embed if embed is not None else [],
         "tracegen": tracegen if tracegen is not None else [],
         "serve": None,
-        "static": static if static is not None else [],
     }
-
-
-def _static_point(model="alexnet", deterministic=True):
-    return {"model": model, "steps": 26, "seconds": 0.01,
-            "digest": "f" * 64, "deterministic": deterministic}
 
 
 def _embed_point(k=8, speedup=2.0, diff=0.0):
@@ -81,20 +75,6 @@ class TestCheckGates:
         payload = _payload(
             tracegen=[{"workers": 4, "identical_to_serial": False}])
         assert any("records differ" in f for f in check_gates(payload))
-
-    def test_deterministic_plan_passes(self):
-        payload = _payload(static=[_static_point()])
-        assert check_gates(payload) == []
-
-    def test_nondeterministic_plan_fails(self):
-        payload = _payload(static=[_static_point(deterministic=False)])
-        failures = check_gates(payload)
-        assert any("plan digest changed" in f for f in failures)
-
-    def test_legacy_payload_without_static_key_passes(self):
-        payload = _payload()
-        del payload["static"]
-        assert check_gates(payload) == []
 
     def test_obs_within_budget_passes(self):
         payload = dict(_payload(), obs=_obs_point(ratio=1.03))
@@ -172,17 +152,14 @@ class TestParallelThroughputGate:
                       _tracegen_point(4, 800.0)]), quick=False, cpus=4)
         assert check_gates(payload) == []
 
-    def test_single_cpu_host_gets_the_overhead_bound(self):
-        # workers=4 cannot beat serial on one CPU; the gate degrades
-        # to a dispatch-overhead floor (default 0.65x) instead.
-        tracegen = [_tracegen_point(1, 400.0),
-                    _tracegen_point(4, 340.0)]
-        near = dict(_payload(tracegen=tracegen), quick=False, cpus=1)
-        assert check_gates(near) == []
-        far = dict(_payload(
+    def test_below_floor_fails_whatever_the_recorded_cpus(self):
+        # The recorded cpus under-report in containers, so a 1-CPU
+        # payload is held to the same floor as any other.
+        payload = dict(_payload(
             tracegen=[_tracegen_point(1, 400.0),
-                      _tracegen_point(4, 200.0)]), quick=False, cpus=1)
-        assert any("dispatch overhead" in f for f in check_gates(far))
+                      _tracegen_point(4, 340.0)]), quick=False, cpus=1)
+        assert any("must beat serial" in f
+                   for f in check_gates(payload))
 
     def test_legacy_payload_without_cpus_key_is_strict(self):
         payload = dict(_payload(

@@ -176,7 +176,7 @@ class TestCollector:
     def test_run_sweep_reports_trace_upstream(self, collector_setup,
                                               tmp_path):
         # The head-node production path: an agent shards a sweep over
-        # the persistent pool and ships the points to the collector's
+        # the shared process pool and ships the points to the collector's
         # attached store.
         import time
 

@@ -1,15 +1,18 @@
-"""repro.parallel.pool: persistent-pool lifecycle contracts.
+"""repro.parallel: the shared executor's lifecycle, through parallel_map.
 
-Warm reuse, crash -> respawn with bit-identical recovery, shared-memory
-result round-trips (including segment cleanup), per-task pickle
-failures, and atexit teardown of the process-global pool.
+Executor reuse and replacement, ordered bit-identical results, the
+lowest-index exception, the counted serial fallback for a late
+unpicklable task, the crash rerun and teardown (at exit and by
+shutdown_pool).  The crash and exit cases run in a subprocess with a
+timeout, so a wedged pool fails the test instead of stalling the suite.
 """
 
-import gc
+import json
 import os
 import signal
 import subprocess
 import sys
+import textwrap
 import threading
 
 import numpy as np
@@ -17,8 +20,10 @@ import pytest
 
 import repro
 from repro import obs
-from repro.parallel import (ShmArrayView, WorkerPool, get_pool,
-                            parallel_map, pool_stats, substreams)
+from repro.parallel import (parallel_map, pool_stats, shutdown_pool,
+                            substreams)
+
+SCRIPT_TIMEOUT = 60
 
 
 def _square(x):
@@ -33,58 +38,81 @@ def _type_name(x):
     return type(x).__name__
 
 
+def _pid(_):
+    return os.getpid()
+
+
 def _fail_odd(x):
     if x % 2:
         raise ValueError(f"task value {x}")
     return x
 
 
-def _crash_once(task):
-    """SIGKILL the hosting worker the first time index 2 comes through.
-
-    The marker file makes the crash one-shot: the respawned worker sees
-    it and computes the task normally, so recovery is observable as
-    "same results, one extra spawn".
-    """
-    index, marker = task
-    if index == 2 and not os.path.exists(marker):
-        with open(marker, "w") as fh:
-            fh.write("crashed")
-        os.kill(os.getpid(), signal.SIGKILL)
-    return index * index
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
-def _make_array(task):
-    index, size = task
-    return np.full(size, float(index), dtype=np.float64)
+def _run_script(script, *args, cwd):
+    """Run ``script`` as the leader of a new process group; kill the
+    whole group (pool workers included) if it outlives the timeout."""
+    src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", textwrap.dedent(script), *args], env=env,
+        cwd=str(cwd), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=SCRIPT_TIMEOUT)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"script still running after {SCRIPT_TIMEOUT} s")
+    assert proc.returncode == 0, err
+    return out
+
+
+@pytest.fixture
+def fresh_pool():
+    shutdown_pool()
+    yield
+    shutdown_pool()
 
 
 class TestWarmReuse:
-    def test_second_run_spawns_nothing(self):
-        with WorkerPool(2, initializer=None) as pool:
-            tasks = list(range(8))
-            assert pool.run(_square, tasks) == [t * t for t in tasks]
-            spawned = pool.stats.spawns
-            assert spawned == 2
-            assert pool.stats.warm_hits == 0
-            assert pool.run(_square, tasks) == [t * t for t in tasks]
-            assert pool.stats.spawns == spawned  # no respawn
-            assert pool.stats.warm_hits == 1
+    def test_second_run_spawns_nothing(self, fresh_pool):
+        tasks = list(range(8))
+        assert parallel_map(_square, tasks, workers=2) == \
+            [t * t for t in tasks]
+        first = pool_stats()
+        assert parallel_map(_square, tasks, workers=2) == \
+            [t * t for t in tasks]
+        second = pool_stats()
+        assert second["spawns"] == first["spawns"]
+        assert second["jobs"] == first["jobs"] + 1
+        assert second["steals"] == 0
 
-    def test_warm_prespawns_before_first_run(self):
-        with WorkerPool(2, initializer=None) as pool:
-            pool.warm()
-            assert pool.stats.spawns == 2
-            pool.run(_square, [1, 2, 3, 4])
-            assert pool.stats.warm_hits == 1
+    def test_more_workers_replaces_the_executor(self, fresh_pool):
+        assert pool_stats() is None
+        parallel_map(_square, list(range(8)), workers=2)
+        first = pool_stats()
+        parallel_map(_square, list(range(8)), workers=4)
+        grown = pool_stats()
+        assert grown["spawns"] == first["spawns"] + 4
+        # Fewer workers than the live executor has: reuse it.
+        parallel_map(_square, list(range(8)), workers=2)
+        assert pool_stats()["spawns"] == grown["spawns"]
 
-    def test_get_pool_grows_and_reports_stats(self):
-        pool = get_pool(2)
-        assert get_pool(4) is pool
-        assert pool.workers >= 4
-        stats = pool_stats()
-        assert stats is not None
-        assert stats["spawns"] >= 0
+    def test_chunking_gives_four_chunks_per_worker(self, fresh_pool):
+        parallel_map(_square, list(range(8)), workers=2)
+        before = pool_stats()["chunks"]
+        # ceil(780 / (2 * 4)) = 98 tasks a chunk -> 8 chunks.
+        parallel_map(_square, list(range(780)), workers=2)
+        assert pool_stats()["chunks"] - before == 8
 
 
 class TestDeterminism:
@@ -92,86 +120,63 @@ class TestDeterminism:
         streams = substreams(123, 12)
         serial = [_draw(s) for s in streams]
         for workers in (1, 2, 4):
-            with WorkerPool(workers, initializer=None) as pool:
-                # chunk_size=1 maximizes scheduling freedom (and
-                # stealing), which must not leak into the results.
-                assert pool.run(_draw, streams, chunk_size=1) == serial
+            assert parallel_map(_draw, streams, workers=workers) == serial
 
     def test_lowest_index_exception_wins(self):
         # Indices 1 and 3 both fail; index 1 (value 3) must be the one
-        # raised, regardless of which chunk finished first.
-        with WorkerPool(2, initializer=None) as pool:
-            with pytest.raises(ValueError, match="task value 3"):
-                pool.run(_fail_odd, [2, 3, 4, 5], chunk_size=1)
+        # raised, whichever chunk finished first.
+        with pytest.raises(ValueError, match="task value 3"):
+            parallel_map(_fail_odd, [2, 3, 4, 5], workers=2)
 
     def test_pool_reusable_after_task_error(self):
-        with WorkerPool(2, initializer=None) as pool:
-            with pytest.raises(ValueError):
-                pool.run(_fail_odd, [2, 3, 4, 5], chunk_size=1)
-            assert pool.run(_square, [5, 6]) == [25, 36]
+        with pytest.raises(ValueError):
+            parallel_map(_fail_odd, [2, 3, 4, 5], workers=2)
+        assert parallel_map(_square, [5, 6], workers=2) == [25, 36]
 
 
 class TestCrashRecovery:
     def test_killed_worker_respawns_with_identical_results(self,
                                                            tmp_path):
-        marker = str(tmp_path / "crashed-once")
-        tasks = [(i, marker) for i in range(8)]
-        expected = [i * i for i in range(8)]
-        with obs.observed(tracing=False) as (_, metrics):
-            with WorkerPool(2, initializer=None,
-                            poll_interval=0.02) as pool:
-                assert pool.run(_crash_once, tasks,
-                                chunk_size=1) == expected
-                assert pool.stats.respawns >= 1
-            counters = metrics.snapshot()["counters"]
-        assert os.path.exists(marker)  # the crash really happened
-        assert counters["parallel.pool.worker_deaths"] >= 1
-        assert counters["parallel.pool.respawns"] >= 1
-        counts = obs.RECORDER.counts()
-        assert counts.get("parallel.worker_died", 0) >= 1
-        assert counts.get("parallel.worker_respawn", 0) >= 1
+        # The marker file makes the SIGKILL one-shot: the rerun on the
+        # fresh executor computes index 2 normally.
+        script = """
+            import json, os, signal, sys
+            from repro import obs
+            from repro.parallel import parallel_map, pool_stats
 
+            def crash_once(task):
+                index, marker = task
+                if index == 2 and not os.path.exists(marker):
+                    with open(marker, "w") as fh:
+                        fh.write("crashed")
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return index * index
 
-@pytest.mark.skipif(not os.path.isdir("/dev/shm"),
-                    reason="no /dev/shm on this platform")
-class TestSharedMemoryResults:
-    def test_round_trip_and_segment_cleanup(self):
-        before = set(os.listdir("/dev/shm"))
-        tasks = [(i, 1024) for i in range(6)]
-        expected = [_make_array(t) for t in tasks]
-        with obs.observed(tracing=False) as (_, metrics):
-            with WorkerPool(2, initializer=None,
-                            shm_threshold=0) as pool:
-                got = pool.run(_make_array, tasks)
-            counters = metrics.snapshot()["counters"]
-        assert all(np.array_equal(g, e)
-                   for g, e in zip(got, expected))
-        assert any(isinstance(g, ShmArrayView) for g in got)
-        assert all(not g.flags.writeable for g in got)
-        assert counters["parallel.pool.shm_bytes"] > 0
-        del got, expected
-        gc.collect()
-        leaked = {name for name in
-                  set(os.listdir("/dev/shm")) - before
-                  if name.startswith(("psm_", "wnsm_"))}
-        assert not leaked
-
-    def test_small_results_skip_shm(self):
-        with obs.observed(tracing=False) as (_, metrics):
-            with WorkerPool(2, initializer=None) as pool:
-                got = pool.run(_make_array, [(i, 8) for i in range(4)])
-            counters = metrics.snapshot()["counters"]
-        assert all(np.array_equal(g, np.full(8, float(i)))
-                   for i, g in enumerate(got))
-        # 64-byte arrays ride the pipe; no segments, no counter.
-        assert "parallel.pool.shm_bytes" not in counters
+            obs.enable(tracing=False)
+            tasks = [(i, sys.argv[1]) for i in range(8)]
+            got = parallel_map(crash_once, tasks, workers=2)
+            print(json.dumps({
+                "got": got, "stats": pool_stats(),
+                "events": obs.RECORDER.counts(),
+                "counters": obs.METRICS.snapshot()["counters"]}))
+        """
+        marker = tmp_path / "crashed-once"
+        out = _run_script(script, str(marker), cwd=tmp_path)
+        report = json.loads(out.strip().splitlines()[-1])
+        assert marker.exists()  # the crash really happened
+        assert report["got"] == [i * i for i in range(8)]
+        assert report["stats"]["respawns"] >= 1
+        assert report["counters"]["parallel.pool.worker_deaths"] >= 1
+        assert report["counters"]["parallel.pool.respawns"] >= 1
+        assert report["events"].get("parallel.worker_died", 0) >= 1
+        assert report["events"].get("parallel.worker_respawn", 0) >= 1
 
 
 class TestFallbacks:
     def test_late_unpicklable_task_takes_counted_fallback(self):
-        # The cheap probe only sees tasks[0]; the Lock at index 1
-        # surfaces at chunk-encode time and must still degrade to the
-        # serial loop with the same counted reason.
+        # fn and the first task pickle; the Lock at index 1 does not,
+        # and the whole map must still degrade to the serial loop with
+        # the counted reason.
         tasks = [1, threading.Lock()]
         with obs.observed(tracing=False) as (_, metrics):
             result = parallel_map(_type_name, tasks, workers=2)
@@ -182,31 +187,26 @@ class TestFallbacks:
 
 class TestTeardown:
     def test_atexit_closes_the_global_pool(self, tmp_path):
-        # A process that uses the global pool and never closes it must
-        # still exit cleanly (no daemon-process hang, exit code 0).
-        script = (
-            "from repro.parallel import parallel_map\n"
-            "def sq(x):\n"
-            "    return x * x\n"
-            "assert parallel_map(sq, list(range(8)), workers=2) == "
-            "[x * x for x in range(8)]\n"
-            "print('pool-ok')\n"
-        )
-        src_dir = os.path.dirname(os.path.dirname(repro.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = src_dir + os.pathsep + env.get(
-            "PYTHONPATH", "")
-        proc = subprocess.run(
-            [sys.executable, "-c", script], env=env, timeout=120,
-            capture_output=True, text=True, cwd=str(tmp_path))
-        assert proc.returncode == 0, proc.stderr
-        assert "pool-ok" in proc.stdout
+        # A process that uses the global pool and never shuts it down
+        # must still exit cleanly (no hang, exit code 0).
+        script = """
+            from repro.parallel import parallel_map
+            def sq(x):
+                return x * x
+            assert parallel_map(sq, list(range(8)), workers=2) == \\
+                [x * x for x in range(8)]
+            print("pool-ok")
+        """
+        assert "pool-ok" in _run_script(script, cwd=tmp_path)
 
-    def test_close_is_idempotent_and_run_after_close_raises(self):
-        pool = WorkerPool(2, initializer=None)
-        pool.run(_square, [1, 2, 3])
-        pool.close()
-        pool.close()
-        assert pool.closed
-        with pytest.raises(RuntimeError, match="closed"):
-            pool.run(_square, [1])
+    def test_shutdown_is_idempotent_and_map_after_it_works(self,
+                                                           fresh_pool):
+        pids = set(parallel_map(_pid, list(range(8)), workers=2))
+        assert os.getpid() not in pids
+        shutdown_pool()
+        # shutdown_pool returns only once the workers have exited.
+        assert not any(_alive(pid) for pid in pids)
+        assert pool_stats() is None
+        shutdown_pool()
+        assert parallel_map(_square, [1, 2, 3], workers=2) == [1, 4, 9]
+        assert pool_stats() is not None

@@ -7,6 +7,7 @@ from repro.regression import (LinearRegression, LogTargetRegressor,
                               MLPRegressor, NNLSRegression,
                               PolynomialRegression, SVR,
                               polynomial_expand, rmse)
+from repro.regression.polynomial import _pair_indices
 
 
 @pytest.fixture
@@ -123,6 +124,28 @@ class TestPolynomialExpansion:
     def test_invalid_degree(self):
         with pytest.raises(ValueError):
             polynomial_expand(np.ones((2, 2)), degree=0)
+
+    def test_cached_pairs_match_fresh_expansion(self, rng):
+        # The uncached expression, index pairs recomputed every call.
+        def reference(x, degree):
+            blocks = [x] + [x ** power for power in range(2, degree + 1)]
+            if degree >= 2 and x.shape[1] > 1:
+                iu, ju = np.triu_indices(x.shape[1], k=1)
+                blocks.append(x[:, iu] * x[:, ju])
+            return np.hstack(blocks)
+
+        for width in range(1, 51):
+            x = rng.standard_normal((3, width))
+            for degree in (1, 2, 3):
+                got = polynomial_expand(x, degree=degree)
+                assert got.tobytes() == reference(x, degree).tobytes()
+
+    def test_cached_pairs_are_read_only(self):
+        polynomial_expand(np.ones((1, 5)))
+        for index in _pair_indices(5):
+            assert not index.flags.writeable
+            with pytest.raises(ValueError):
+                index[0] = 1
 
 
 class TestPolynomialRegression:
